@@ -7,8 +7,8 @@
 //!    workflow `--batch` replaces. Pays process spawn + registry
 //!    construction + a full generator run per job.
 //! 2. **batch --jobs 1** — one process, one worker: isolates the warm
-//!    registries and the parse cache (the recompile pass replays cached
-//!    canonical text instead of re-running the generator).
+//!    registries and the parse cache (the recompile pass clones the
+//!    cached parsed program instead of re-running the generator).
 //! 3. **batch --jobs N** — the default worker count: adds pipelining
 //!    across jobs. On a single-CPU host this measures scheduling
 //!    overhead, not speedup; the honest headline on such hosts is

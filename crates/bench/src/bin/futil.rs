@@ -3,7 +3,8 @@
 //! workflow: a *frontend* selected from the `FrontendRegistry` with `-f`
 //! ingests the input (generator → IR), a pass pipeline built from `-p`
 //! flags compiles it, and a backend selected from the `BackendRegistry`
-//! with `-b` emits the result.
+//! with `-b` emits the result. The three stages run in the compile core
+//! (`calyx_service::compile`) that `--batch`, `serve`, and `build` share.
 //!
 //! ```text
 //! futil <file|-> [flags]
@@ -18,59 +19,11 @@
 //!                      [--cache-dir DIR] [--no-cache] [--fopt k=v]
 //!                      [--cycles N] [--format text|json]
 //! futil plan <file|->  --to <state> [--from <state>]
-//!   -f <frontend>       frontend (default: inferred from the file
-//!                       extension, falling back to calyx); see
-//!                       --list-frontends
-//!   --fopt key=value    frontend/generator parameter (repeatable); see
-//!                       --list-frontends for each frontend's keys
-//!   -p <pass-or-alias>  append a pass or pipeline alias (repeatable;
-//!                       default: the backend's required pipeline).
-//!   -b <backend>        backend (default: calyx); see --list-backends
-//!   -o <file>           write the backend's output to <file>
-//!                       (default: stdout)
-//!   --cycles N          simulation budget (default 1_000_000)
-//!   --format text|json  report format for report-style backends and
-//!                       for `futil check`
-//!   --check             run every lint before compiling; diagnostics go
-//!                       to stderr and errors stop the run
-//!   --deny warnings     treat warning diagnostics as fatal
-//!   --deny <lint>       promote one lint's findings to errors
-//!                       (repeatable; `futil check` only)
-//!   --allow <lint>      drop one lint's findings entirely
-//!                       (repeatable; `futil check` only)
-//!   --explain <CODE>    print a lint's long-form documentation and exit
-//!                       (`futil check` only; no input file needed)
-//!   --time              report per-pass wall-clock timings on stderr;
-//!                       simulation backends also report total cycles,
-//!                       wall time, and cycles/sec
-//!   --stats             report per-pass analysis-cache statistics
-//!                       (hits/misses/recomputes) on stderr, plus the
-//!                       simulation throughput line
-//!   --batch             compile every positional input concurrently:
-//!                       plain inputs become one job each, `.jsonl`
-//!                       arguments are JSON-lines job manifests (`-`
-//!                       reads a manifest from stdin), and the other
-//!                       flags become per-job defaults. Prints a
-//!                       throughput/latency summary (`--format json`
-//!                       for the machine-readable one; `--time`/
-//!                       `--stats` add the per-job stage table) and
-//!                       exits 1 if any job failed.
-//!   --jobs N            worker threads for --batch and serve
-//!                       (default: available parallelism)
-//!   --fail-fast         abort a batch at the first failing job;
-//!                       unstarted jobs report status `skipped`
-//!   --timeout MS        per-job wall-clock budget in milliseconds
-//!   --out-dir DIR       write each job's output to DIR/<name>.<ext>
-//!                       (ext from the backend; see `futil serve` docs)
-//!   --list-frontends    list registered frontends, then exit
-//!   --list-passes       list registered passes and aliases, then exit
-//!   --list-backends     list registered backends, then exit
-//!   --list-lints        list registered lints, then exit
-//!   -h, --help          print usage and exit
 //! ```
 //!
-//! All four lists — and the `-f`/`-b` choices in the usage text — are
-//! derived from the registries, so help can never drift from what is
+//! Every flag is documented once, in the usage text (`futil --help`).
+//! Its `-f`/`-b` choices and the four `--list-*` listings are derived
+//! from the registries, so help can never drift from what is
 //! registered. `-` as the input path reads from stdin. Parse errors are
 //! rendered as caret diagnostics pointing into the offending source
 //! line.
@@ -112,9 +65,12 @@
 use calyx_backend::{BackendOpts, BackendRegistry, ReportFormat};
 use calyx_core::analysis::AnalysisCache;
 use calyx_core::lint::LintRegistry;
-use calyx_core::passes::{PassManager, PassRegistry};
-use calyx_frontend::{DynFrontend, FrontendOpts, FrontendRegistry};
-use calyx_service::{CompileService, JobDefaults, JobRequest, Request, ServeOpts, WorkerPool};
+use calyx_core::passes::PassRegistry;
+use calyx_frontend::FrontendRegistry;
+use calyx_service::{
+    CompileService, Compiler, InputError, JobDefaults, JobRequest, Names, Request, ServeOpts,
+    WorkerPool,
+};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::process::exit;
@@ -208,6 +164,97 @@ fn usage_error(frontends: &FrontendRegistry, backends: &BackendRegistry, msg: &s
     exit(2);
 }
 
+/// Print `msg` to stderr and exit with `code` — 2 for a name the
+/// registries reject, 1 for a failure on the input.
+fn die(code: i32, msg: impl std::fmt::Display) -> ! {
+    eprintln!("futil: {msg}");
+    exit(code);
+}
+
+/// The invocation's arguments, read flag by flag. A flag missing its
+/// value, or given a malformed one, is a usage error.
+struct Args<'a> {
+    rest: std::vec::IntoIter<String>,
+    frontends: &'a FrontendRegistry,
+    backends: &'a BackendRegistry,
+}
+
+impl Args<'_> {
+    fn next(&mut self) -> Option<String> {
+        self.rest.next()
+    }
+
+    fn fail(&self, msg: &str) -> ! {
+        usage_error(self.frontends, self.backends, msg)
+    }
+
+    /// Help is not an error: print to stdout and exit 0.
+    fn help(&self) -> ! {
+        print!("{}", usage(self.frontends, self.backends));
+        exit(0);
+    }
+
+    /// The value after a flag; `expects` describes it when missing.
+    fn value(&mut self, expects: &str) -> String {
+        match self.rest.next() {
+            Some(v) => v,
+            None => self.fail(expects),
+        }
+    }
+
+    fn number<T: std::str::FromStr>(&mut self, expects: &str) -> T {
+        match self.rest.next().map(|s| s.parse()) {
+            Some(Ok(n)) => n,
+            _ => self.fail(expects),
+        }
+    }
+
+    fn format(&mut self) -> ReportFormat {
+        match self.rest.next().as_deref() {
+            Some("text") => ReportFormat::Text,
+            Some("json") => ReportFormat::Json,
+            _ => self.fail("`--format` expects `text` or `json`"),
+        }
+    }
+
+    /// The `key=value` after `--fopt`, as the pair the compile core takes.
+    fn fopt(&mut self) -> (String, String) {
+        let arg = self.value("`--fopt` expects `key=value`");
+        match arg.split_once('=') {
+            Some((k, v)) if !k.is_empty() => (k.to_string(), v.to_string()),
+            _ => self.fail(&format!("`--fopt` argument `{arg}`; expected `key=value`")),
+        }
+    }
+
+    /// Consume `arg` if it is one of the per-job flags compile mode and
+    /// `futil serve` share, recording it in `defaults` (or `jobs`).
+    fn job_flag(
+        &mut self,
+        arg: &str,
+        defaults: &mut JobDefaults,
+        jobs: &mut Option<usize>,
+    ) -> bool {
+        match arg {
+            "-f" => defaults.frontend = Some(self.value("`-f` expects a frontend name")),
+            "--fopt" => defaults.fopts.push(self.fopt()),
+            "-p" => {
+                let pass = self.value("`-p` expects a pass or alias name");
+                defaults.pipeline.get_or_insert_with(Vec::new).push(pass);
+            }
+            "-b" => defaults.backend = self.value("`-b` expects a backend name"),
+            "--cycles" => defaults.cycles = self.number("`--cycles` expects a number"),
+            "--format" => defaults.format = self.format(),
+            "--timeout" => {
+                defaults.timeout_ms = Some(self.number("`--timeout` expects milliseconds"));
+            }
+            "--out-dir" => defaults.out_dir = Some(self.value("`--out-dir` expects a directory")),
+            "--jobs" => *jobs = Some(self.number("`--jobs` expects a number")),
+            _ => return false,
+        }
+        true
+    }
+}
+
 /// The shared two-column row every `--list-*` flag prints: a name padded
 /// to a fixed width, then its description. Callers append bracketed
 /// extras (extensions, pipelines, codes) after the row.
@@ -215,22 +262,20 @@ fn list_row(name: &str, description: &str) -> String {
     format!("  {name:<22}{description}")
 }
 
+/// The ` [extensions: .a .b]` suffix of a frontend or state row.
+fn extensions_suffix(extensions: &[impl std::fmt::Display]) -> String {
+    if extensions.is_empty() {
+        return String::new();
+    }
+    let dotted: Vec<String> = extensions.iter().map(|e| format!(".{e}")).collect();
+    format!(" [extensions: {}]", dotted.join(" "))
+}
+
 fn list_frontends(frontends: &FrontendRegistry) {
     println!("frontends:");
     for f in frontends.frontends() {
-        let exts = if f.extensions.is_empty() {
-            String::new()
-        } else {
-            format!(
-                " [extensions: {}]",
-                f.extensions
-                    .iter()
-                    .map(|e| format!(".{e}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            )
-        };
-        println!("{}{}", list_row(f.name, f.description), exts);
+        let exts = extensions_suffix(f.extensions);
+        println!("{}{exts}", list_row(f.name, f.description));
         for (key, what) in f.options {
             println!("    --fopt {key:<15}{what}");
         }
@@ -281,19 +326,11 @@ fn read_input(file: &str) -> String {
         let mut s = String::new();
         match std::io::stdin().read_to_string(&mut s) {
             Ok(_) => s,
-            Err(e) => {
-                eprintln!("futil: cannot read stdin: {e}");
-                exit(1);
-            }
+            Err(e) => die(1, format!("cannot read stdin: {e}")),
         }
     } else {
-        match std::fs::read_to_string(file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("futil: cannot read `{file}`: {e}");
-                exit(1);
-            }
-        }
+        std::fs::read_to_string(file)
+            .unwrap_or_else(|e| die(1, format!("cannot read `{file}`: {e}")))
     }
 }
 
@@ -344,21 +381,25 @@ fn resolve_frontend_name<'a>(
     name
 }
 
-/// Parse `src` with `frontend`, rendering parse errors as caret
-/// diagnostics and exiting 1 on failure.
-fn parse_input(frontend: &dyn DynFrontend, file: &str, src: &str) -> calyx_core::ir::Context {
-    match frontend.parse(src) {
-        Ok(c) => c,
-        Err(e) => {
-            // Parse errors point into the source: file, line, column,
-            // the offending line, and a caret under the column.
-            match e.caret_diagnostic(shown_name(file), src) {
-                Some(diagnostic) => eprintln!("futil: {diagnostic}"),
-                None => eprintln!("futil: frontend `{}`: {e}", frontend.name()),
-            }
-            exit(1);
+/// Resolve `names` through the compile core; an unknown name or a bad
+/// `--fopt` is a usage error whose registry message lists the valid
+/// choices.
+fn resolve(frontends: &FrontendRegistry, backends: &BackendRegistry, names: &Names) -> Compiler {
+    Compiler::resolve(frontends, &PassRegistry::default(), backends, names)
+        .unwrap_or_else(|e| die(2, e))
+}
+
+/// Run the compile's frontend over `src`, rendering parse errors as
+/// caret diagnostics and exiting 1 on failure.
+fn parse_input(compiler: &Compiler, file: &str, src: &str) -> calyx_core::ir::Context {
+    compiler.parse(src).unwrap_or_else(|e| {
+        // Parse errors point into the source: file, line, column, the
+        // offending line, and a caret under the column.
+        match e.caret_diagnostic(shown_name(file), src) {
+            Some(diagnostic) => die(1, diagnostic),
+            None => die(1, format!("frontend `{}`: {e}", compiler.frontend().name())),
         }
-    }
+    })
 }
 
 /// The `futil check --explain <CODE>` mode: print one lint's long-form
@@ -383,104 +424,69 @@ fn explain_lint(query: &str) -> ! {
                 .iter()
                 .map(|l| format!("{} ({})", l.code, l.name))
                 .collect();
-            eprintln!(
-                "futil: no lint with code or name `{query}`; valid codes: {}",
-                codes.join(", ")
+            die(
+                2,
+                format!(
+                    "no lint with code or name `{query}`; valid codes: {}",
+                    codes.join(", ")
+                ),
             );
-            exit(2);
         }
     }
 }
 
 /// The `futil check` subcommand: run every registered lint, report every
 /// finding, exit 1 when the program should not be compiled as-is.
-fn run_check(frontends: &FrontendRegistry, backends: &BackendRegistry, args: Vec<String>) -> ! {
+fn run_check(mut args: Args) -> ! {
     let mut file = None;
     let mut frontend_name: Option<String> = None;
-    let mut fopts = FrontendOpts::default();
+    let mut fopts: Vec<(String, String)> = Vec::new();
     let mut format = ReportFormat::Text;
     let mut deny_warnings = false;
     let mut allow: Vec<String> = Vec::new();
     let mut deny: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "-f" => match it.next() {
-                Some(f) => frontend_name = Some(f),
-                None => usage_error(frontends, backends, "`-f` expects a frontend name"),
+            "-f" => frontend_name = Some(args.value("`-f` expects a frontend name")),
+            "--fopt" => fopts.push(args.fopt()),
+            "--format" => format = args.format(),
+            "--deny" => match args.value("`--deny` expects `warnings` or a lint name") {
+                what if what == "warnings" => deny_warnings = true,
+                what => deny.push(what),
             },
-            "--fopt" => match it.next() {
-                Some(f) => {
-                    if let Err(e) = fopts.push_flag(&f) {
-                        eprintln!("futil: {e}");
-                        exit(2);
-                    }
-                }
-                None => usage_error(frontends, backends, "`--fopt` expects `key=value`"),
-            },
-            "--format" => {
-                format = match it.next().as_deref() {
-                    Some("text") => ReportFormat::Text,
-                    Some("json") => ReportFormat::Json,
-                    _ => usage_error(frontends, backends, "`--format` expects `text` or `json`"),
-                }
-            }
-            "--deny" => match it.next() {
-                Some(what) if what == "warnings" => deny_warnings = true,
-                Some(what) => deny.push(what),
-                None => usage_error(
-                    frontends,
-                    backends,
-                    "`--deny` expects `warnings` or a lint name",
-                ),
-            },
-            "--allow" => match it.next() {
-                Some(what) => allow.push(what),
-                None => usage_error(frontends, backends, "`--allow` expects a lint name"),
-            },
-            "--explain" => match it.next() {
-                Some(query) => explain_lint(&query),
-                None => usage_error(frontends, backends, "`--explain` expects a lint code"),
-            },
+            "--allow" => allow.push(args.value("`--allow` expects a lint name")),
+            "--explain" => explain_lint(&args.value("`--explain` expects a lint code")),
             "--list-lints" => {
                 list_lints();
                 exit(0);
             }
-            "-h" | "--help" => {
-                print!("{}", usage(frontends, backends));
-                exit(0);
-            }
-            "-" if file.is_none() => file = Some("-".to_string()),
-            f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
-            other => usage_error(
-                frontends,
-                backends,
-                &format!("unexpected argument `{other}` for `futil check`"),
-            ),
+            "-h" | "--help" => args.help(),
+            f if (f == "-" || !f.starts_with('-')) && file.is_none() => file = Some(arg),
+            other => args.fail(&format!("unexpected argument `{other}` for `futil check`")),
         }
     }
     let Some(file) = file else {
-        usage_error(frontends, backends, "no input file");
+        args.fail("no input file");
     };
     // Validate lint names before touching the input: a typo in `--allow`
     // or `--deny` is a usage error listing the valid lints.
     let registry = LintRegistry::default();
     for name in allow.iter().chain(deny.iter()) {
         if let Err(e) = registry.get(name) {
-            eprintln!("futil: {e}");
-            exit(2);
+            die(2, e);
         }
     }
-    let resolved = resolve_frontend_name(frontends, frontend_name.as_deref(), &file);
-    let frontend = match frontends.get(resolved, &fopts) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
+    // Only the frontend matters here: lint the program as parsed.
+    let names = Names {
+        frontend: resolve_frontend_name(args.frontends, frontend_name.as_deref(), &file),
+        fopts: &fopts,
+        pipeline: Some(&[]),
+        backend: "calyx",
+        ..Names::default()
     };
+    let compiler = resolve(args.frontends, args.backends, &names);
     let src = read_input(&file);
-    let ctx = parse_input(frontend.as_ref(), &file, &src);
+    let ctx = parse_input(&compiler, &file, &src);
     let mut sink = registry.check_all(&ctx, &mut AnalysisCache::new());
     sink.apply_lint_levels(&allow, &deny);
     match format {
@@ -500,19 +506,8 @@ fn run_check(frontends: &FrontendRegistry, backends: &BackendRegistry, args: Vec
 fn list_states(graph: &calyx_plan::PlanGraph) {
     println!("states:");
     for s in graph.states() {
-        let exts = if s.extensions.is_empty() {
-            String::new()
-        } else {
-            format!(
-                " [extensions: {}]",
-                s.extensions
-                    .iter()
-                    .map(|e| format!(".{e}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            )
-        };
-        println!("{}{}", list_row(&s.name, &s.description), exts);
+        let exts = extensions_suffix(&s.extensions);
+        println!("{}{exts}", list_row(&s.name, &s.description));
     }
 }
 
@@ -533,60 +528,25 @@ fn list_ops(graph: &calyx_plan::PlanGraph) {
 /// `build`) execute the route through the artifact cache. `plan`
 /// accepts the same flags and ignores the execution-only ones, so an
 /// invocation can be dry-run by swapping the subcommand name.
-fn run_build(
-    frontends: &FrontendRegistry,
-    backends: &BackendRegistry,
-    args: Vec<String>,
-    execute_route: bool,
-) -> ! {
+fn run_build(mut args: Args, execute_route: bool) -> ! {
     let graph = calyx_plan::derive::standard();
     let mut file: Option<String> = None;
     let mut to_name: Option<String> = None;
     let mut from_name: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut build = calyx_plan::BuildOpts::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--to" => match it.next() {
-                Some(s) => to_name = Some(s),
-                None => usage_error(frontends, backends, "`--to` expects a state name"),
-            },
-            "--from" => match it.next() {
-                Some(s) => from_name = Some(s),
-                None => usage_error(frontends, backends, "`--from` expects a state name"),
-            },
-            "-o" => match it.next() {
-                Some(o) => out_path = Some(o),
-                None => usage_error(frontends, backends, "`-o` expects a file path"),
-            },
-            "--cache-dir" => match it.next() {
-                Some(d) => build.cache_dir = d.into(),
-                None => usage_error(frontends, backends, "`--cache-dir` expects a directory"),
-            },
+            "--to" => to_name = Some(args.value("`--to` expects a state name")),
+            "--from" => from_name = Some(args.value("`--from` expects a state name")),
+            "-o" => out_path = Some(args.value("`-o` expects a file path")),
+            "--cache-dir" => {
+                build.cache_dir = args.value("`--cache-dir` expects a directory").into();
+            }
             "--no-cache" => build.use_cache = false,
-            "--fopt" => match it.next() {
-                Some(f) => match f.split_once('=') {
-                    Some((k, v)) if !k.is_empty() => {
-                        build.opts.fopts.push((k.to_string(), v.to_string()));
-                    }
-                    _ => usage_error(
-                        frontends,
-                        backends,
-                        &format!("`--fopt` argument `{f}`; expected `key=value`"),
-                    ),
-                },
-                None => usage_error(frontends, backends, "`--fopt` expects `key=value`"),
-            },
-            "--cycles" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => build.opts.cycles = n,
-                _ => usage_error(frontends, backends, "`--cycles` expects a number"),
-            },
-            "--format" => match it.next().as_deref() {
-                Some("text") => build.opts.format = ReportFormat::Text,
-                Some("json") => build.opts.format = ReportFormat::Json,
-                _ => usage_error(frontends, backends, "`--format` expects `text` or `json`"),
-            },
+            "--fopt" => build.opts.fopts.push(args.fopt()),
+            "--cycles" => build.opts.cycles = args.number("`--cycles` expects a number"),
+            "--format" => build.opts.format = args.format(),
             "--list-states" => {
                 list_states(&graph);
                 exit(0);
@@ -595,70 +555,39 @@ fn run_build(
                 list_ops(&graph);
                 exit(0);
             }
-            "-h" | "--help" => {
-                print!("{}", usage(frontends, backends));
-                exit(0);
-            }
-            "-" if file.is_none() => file = Some("-".to_string()),
-            f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
-            other => usage_error(
-                frontends,
-                backends,
-                &format!(
-                    "unexpected argument `{other}` for `futil {}`",
-                    if execute_route { "build" } else { "plan" }
-                ),
-            ),
+            "-h" | "--help" => args.help(),
+            f if (f == "-" || !f.starts_with('-')) && file.is_none() => file = Some(arg),
+            other => args.fail(&format!(
+                "unexpected argument `{other}` for `futil {}`",
+                if execute_route { "build" } else { "plan" }
+            )),
         }
     }
     let Some(file) = file else {
-        usage_error(frontends, backends, "no input file");
+        args.fail("no input file");
     };
     let Some(to_name) = to_name else {
-        usage_error(
-            frontends,
-            backends,
-            "`--to <state>` is required; run `--list-states` for the choices",
-        );
+        args.fail("`--to <state>` is required; run `--list-states` for the choices");
     };
     // Unknown `--to`/`--from` states get the graph's message listing
     // every valid state — same contract as the other registries.
-    let to = match graph.expect_state(&to_name) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
-    };
+    let to = graph.expect_state(&to_name).unwrap_or_else(|e| die(2, e));
     let from = match &from_name {
-        Some(name) => match graph.expect_state(name) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("futil: {e}");
-                exit(2);
-            }
-        },
-        None => match graph.infer_state(&file) {
-            Some(s) => s,
-            None => {
-                eprintln!(
-                    "futil: cannot infer a state from `{}`; pass `--from <state>` \
+        Some(name) => graph.expect_state(name).unwrap_or_else(|e| die(2, e)),
+        None => graph.infer_state(&file).unwrap_or_else(|| {
+            die(
+                2,
+                format!(
+                    "cannot infer a state from `{}`; pass `--from <state>` \
                      (run `--list-states` for the choices)",
                     shown_name(&file)
-                );
-                exit(2);
-            }
-        },
+                ),
+            )
+        }),
     };
     // An unreachable goal is a usage error too: the message names the
     // states that *are* reachable from the start.
-    let route = match graph.plan(from, to) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
-    };
+    let route = graph.plan(from, to).unwrap_or_else(|e| die(2, e));
     if !execute_route {
         println!(
             "plan: {} -> {} ({} step{})",
@@ -681,18 +610,14 @@ fn run_build(
     }
     let src = read_input(&file);
     let env = calyx_plan::ExecEnv::default();
-    let outcome = match calyx_plan::execute(&graph, &route, &src, &env, &build) {
-        Ok(o) => o,
-        Err(e) => {
-            // Frontend parse errors inside the first step still render
-            // caret diagnostics against the original source.
-            match e.caret_diagnostic(shown_name(&file), &src) {
-                Some(diagnostic) => eprintln!("futil: {diagnostic}"),
-                None => eprintln!("futil: {e}"),
-            }
-            exit(1);
+    let outcome = calyx_plan::execute(&graph, &route, &src, &env, &build).unwrap_or_else(|e| {
+        // Frontend parse errors inside the first step still render
+        // caret diagnostics against the original source.
+        match e.caret_diagnostic(shown_name(&file), &src) {
+            Some(diagnostic) => die(1, diagnostic),
+            None => die(1, e),
         }
-    };
+    });
     // Step-status lines: `futil: step <op>: ran|cached (<time>)`. Tests
     // pin everything before the parenthesized timing.
     for step in &outcome.steps {
@@ -706,8 +631,7 @@ fn run_build(
     match &out_path {
         Some(path) => {
             if let Err(e) = calyx_service::write_atomic(path, outcome.output.as_bytes()) {
-                eprintln!("futil: cannot write `{path}`: {e}");
-                exit(1);
+                die(1, format!("cannot write `{path}`: {e}"));
             }
         }
         None => {
@@ -750,7 +674,7 @@ fn manifest_requests(path: &str, text: &str) -> Result<Vec<JobRequest>, String> 
 /// The `futil serve` subcommand: a long-lived JSON-lines compilation
 /// server on stdin/stdout (or a `--socket` unix socket), sharing one
 /// warm parse cache across every request.
-fn run_serve(frontends: &FrontendRegistry, backends: &BackendRegistry, args: Vec<String>) -> ! {
+fn run_serve(mut args: Args) -> ! {
     let mut defaults = JobDefaults {
         inline_output: true,
         ..JobDefaults::default()
@@ -758,84 +682,21 @@ fn run_serve(frontends: &FrontendRegistry, backends: &BackendRegistry, args: Vec
     let mut jobs: Option<usize> = None;
     let mut socket: Option<String> = None;
     let mut max_connections: Option<usize> = None;
-    let mut pipeline: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
+        if args.job_flag(&arg, &mut defaults, &mut jobs) {
+            continue;
+        }
         match arg.as_str() {
-            "--jobs" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => jobs = Some(n),
-                _ => usage_error(frontends, backends, "`--jobs` expects a number"),
-            },
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(p),
-                None => usage_error(frontends, backends, "`--socket` expects a path"),
-            },
-            "--max-connections" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => max_connections = Some(n),
-                _ => usage_error(frontends, backends, "`--max-connections` expects a number"),
-            },
-            "--timeout" => match it.next().map(|s| s.parse()) {
-                Some(Ok(ms)) => defaults.timeout_ms = Some(ms),
-                _ => usage_error(frontends, backends, "`--timeout` expects milliseconds"),
-            },
-            "--out-dir" => match it.next() {
-                Some(d) => defaults.out_dir = Some(d),
-                None => usage_error(frontends, backends, "`--out-dir` expects a directory"),
-            },
-            "-f" => match it.next() {
-                Some(f) => defaults.frontend = Some(f),
-                None => usage_error(frontends, backends, "`-f` expects a frontend name"),
-            },
-            "--fopt" => match it.next() {
-                Some(f) => match f.split_once('=') {
-                    Some((k, v)) if !k.is_empty() => {
-                        defaults.fopts.push((k.to_string(), v.to_string()));
-                    }
-                    _ => usage_error(
-                        frontends,
-                        backends,
-                        &format!("`--fopt` argument `{f}`; expected `key=value`"),
-                    ),
-                },
-                None => usage_error(frontends, backends, "`--fopt` expects `key=value`"),
-            },
-            "-p" => match it.next() {
-                Some(p) => pipeline.push(p),
-                None => usage_error(frontends, backends, "`-p` expects a pass or alias name"),
-            },
-            "-b" => match it.next() {
-                Some(b) => defaults.backend = b,
-                None => usage_error(frontends, backends, "`-b` expects a backend name"),
-            },
-            "--cycles" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => defaults.cycles = n,
-                _ => usage_error(frontends, backends, "`--cycles` expects a number"),
-            },
-            "--format" => match it.next().as_deref() {
-                Some("text") => defaults.format = ReportFormat::Text,
-                Some("json") => defaults.format = ReportFormat::Json,
-                _ => usage_error(frontends, backends, "`--format` expects `text` or `json`"),
-            },
-            "-h" | "--help" => {
-                print!("{}", usage(frontends, backends));
-                exit(0);
+            "--socket" => socket = Some(args.value("`--socket` expects a path")),
+            "--max-connections" => {
+                max_connections = Some(args.number("`--max-connections` expects a number"));
             }
-            other => usage_error(
-                frontends,
-                backends,
-                &format!("unexpected argument `{other}` for `futil serve`"),
-            ),
+            "-h" | "--help" => args.help(),
+            other => args.fail(&format!("unexpected argument `{other}` for `futil serve`")),
         }
     }
     if max_connections.is_some() && socket.is_none() {
-        usage_error(
-            frontends,
-            backends,
-            "`--max-connections` requires `--socket`",
-        );
-    }
-    if !pipeline.is_empty() {
-        defaults.pipeline = Some(pipeline);
+        args.fail("`--max-connections` requires `--socket`");
     }
     let opts = ServeOpts {
         jobs: jobs.unwrap_or_else(WorkerPool::default_jobs),
@@ -851,118 +712,56 @@ fn run_serve(frontends: &FrontendRegistry, backends: &BackendRegistry, args: Vec
     };
     match result {
         Ok(()) => exit(0),
-        Err(e) => {
-            eprintln!("futil: serve: {e}");
-            exit(1);
-        }
+        Err(e) => die(1, format!("serve: {e}")),
     }
 }
 
 fn main() {
     let frontends = FrontendRegistry::default();
     let backends = BackendRegistry::default();
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // The `check` and `serve` subcommands take over the whole invocation.
-    if args.first().map(String::as_str) == Some("check") {
-        args.remove(0);
-        run_check(&frontends, &backends, args);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        args.remove(0);
-        run_serve(&frontends, &backends, args);
-    }
-    if args.first().map(String::as_str) == Some("build") {
-        args.remove(0);
-        run_build(&frontends, &backends, args, true);
-    }
-    if args.first().map(String::as_str) == Some("plan") {
-        args.remove(0);
-        run_build(&frontends, &backends, args, false);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let subcommand = argv.first().cloned();
+    let mut args = Args {
+        rest: argv.into_iter(),
+        frontends: &frontends,
+        backends: &backends,
+    };
+    // The subcommands take over the whole invocation.
+    if let Some(sub @ ("check" | "serve" | "build" | "plan")) = subcommand.as_deref() {
+        args.next();
+        match sub {
+            "check" => run_check(args),
+            "serve" => run_serve(args),
+            _ => run_build(args, sub == "build"),
+        }
     }
     let mut files: Vec<String> = Vec::new();
-    let mut frontend_name: Option<String> = None;
-    let mut fopts = FrontendOpts::default();
-    let mut fopt_pairs: Vec<(String, String)> = Vec::new();
-    let mut pipeline: Vec<String> = Vec::new();
-    let mut backend_name = "calyx".to_string();
+    // Compile-mode flags fill the same per-job defaults `--batch` hands
+    // the service.
+    let mut defaults = JobDefaults::default();
+    let mut jobs: Option<usize> = None;
     let mut out_path: Option<String> = None;
-    let mut opts = BackendOpts::default();
     let mut time = false;
     let mut stats = false;
     let mut check = false;
     let mut deny_warnings = false;
     let mut batch = false;
-    let mut jobs: Option<usize> = None;
     let mut fail_fast = false;
-    let mut timeout_ms: Option<u64> = None;
-    let mut out_dir: Option<String> = None;
-
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
+        if args.job_flag(&arg, &mut defaults, &mut jobs) {
+            continue;
+        }
         match arg.as_str() {
-            "-f" => match it.next() {
-                Some(f) => frontend_name = Some(f),
-                None => usage_error(&frontends, &backends, "`-f` expects a frontend name"),
-            },
-            "--fopt" => match it.next() {
-                Some(f) => {
-                    if let Err(e) = fopts.push_flag(&f) {
-                        eprintln!("futil: {e}");
-                        exit(2);
-                    }
-                    // Batch job defaults carry the raw pair.
-                    if let Some((k, v)) = f.split_once('=') {
-                        fopt_pairs.push((k.to_string(), v.to_string()));
-                    }
-                }
-                None => usage_error(&frontends, &backends, "`--fopt` expects `key=value`"),
-            },
-            "-p" => match it.next() {
-                Some(p) => pipeline.push(p),
-                None => usage_error(&frontends, &backends, "`-p` expects a pass or alias name"),
-            },
-            "-b" => match it.next() {
-                Some(b) => backend_name = b,
-                None => usage_error(&frontends, &backends, "`-b` expects a backend name"),
-            },
-            "-o" => match it.next() {
-                Some(o) => out_path = Some(o),
-                None => usage_error(&frontends, &backends, "`-o` expects a file path"),
-            },
-            "--cycles" => {
-                opts.cycles = match it.next().map(|s| s.parse()) {
-                    Some(Ok(n)) => n,
-                    _ => usage_error(&frontends, &backends, "`--cycles` expects a number"),
-                }
-            }
-            "--format" => {
-                opts.format = match it.next().as_deref() {
-                    Some("text") => ReportFormat::Text,
-                    Some("json") => ReportFormat::Json,
-                    _ => usage_error(&frontends, &backends, "`--format` expects `text` or `json`"),
-                }
-            }
+            "-o" => out_path = Some(args.value("`-o` expects a file path")),
             "--check" => check = true,
-            "--deny" => match it.next().as_deref() {
+            "--deny" => match args.next().as_deref() {
                 Some("warnings") => deny_warnings = true,
-                _ => usage_error(&frontends, &backends, "`--deny` expects `warnings`"),
+                _ => args.fail("`--deny` expects `warnings`"),
             },
             "--time" => time = true,
             "--stats" => stats = true,
             "--batch" => batch = true,
-            "--jobs" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => jobs = Some(n),
-                _ => usage_error(&frontends, &backends, "`--jobs` expects a number"),
-            },
             "--fail-fast" => fail_fast = true,
-            "--timeout" => match it.next().map(|s| s.parse()) {
-                Some(Ok(ms)) => timeout_ms = Some(ms),
-                _ => usage_error(&frontends, &backends, "`--timeout` expects milliseconds"),
-            },
-            "--out-dir" => match it.next() {
-                Some(d) => out_dir = Some(d),
-                None => usage_error(&frontends, &backends, "`--out-dir` expects a directory"),
-            },
             "--list-frontends" => {
                 list_frontends(&frontends);
                 exit(0);
@@ -979,19 +778,10 @@ fn main() {
                 list_lints();
                 exit(0);
             }
-            // Help is not an error: print to stdout and exit 0.
-            "-h" | "--help" => {
-                print!("{}", usage(&frontends, &backends));
-                exit(0);
-            }
+            "-h" | "--help" => args.help(),
             // `-` is stdin, not a flag.
-            "-" => files.push("-".to_string()),
-            f if !f.starts_with('-') => files.push(f.to_string()),
-            other => usage_error(
-                &frontends,
-                &backends,
-                &format!("unexpected argument `{other}`"),
-            ),
+            f if f == "-" || !f.starts_with('-') => files.push(arg),
+            other => args.fail(&format!("unexpected argument `{other}`")),
         }
     }
 
@@ -999,25 +789,13 @@ fn main() {
     // flags above become per-job defaults.
     if batch {
         if out_path.is_some() {
-            usage_error(
-                &frontends,
-                &backends,
-                "`-o` names one output; with `--batch` use `--out-dir` or a per-job `out`",
-            );
+            args.fail("`-o` names one output; with `--batch` use `--out-dir` or a per-job `out`");
         }
         if check {
-            usage_error(
-                &frontends,
-                &backends,
-                "`--check` is not supported with `--batch`; run `futil check` separately",
-            );
+            args.fail("`--check` is not supported with `--batch`; run `futil check` separately");
         }
         if files.is_empty() {
-            usage_error(
-                &frontends,
-                &backends,
-                "`--batch` expects input files or `.jsonl` manifests",
-            );
+            args.fail("`--batch` expects input files or `.jsonl` manifests");
         }
         let mut reqs: Vec<JobRequest> = Vec::new();
         for f in &files {
@@ -1025,13 +803,7 @@ fn main() {
                 // Manifest validation failures are usage errors: the
                 // whole batch is rejected before any job runs.
                 let text = read_input(f);
-                match manifest_requests(shown_name(f), &text) {
-                    Ok(r) => reqs.extend(r),
-                    Err(msg) => {
-                        eprintln!("futil: {msg}");
-                        exit(2);
-                    }
-                }
+                reqs.extend(manifest_requests(shown_name(f), &text).unwrap_or_else(|e| die(2, e)));
             } else {
                 reqs.push(JobRequest {
                     input: Some(f.clone()),
@@ -1039,21 +811,6 @@ fn main() {
                 });
             }
         }
-        let defaults = JobDefaults {
-            frontend: frontend_name,
-            fopts: fopt_pairs,
-            pipeline: if pipeline.is_empty() {
-                None
-            } else {
-                Some(pipeline)
-            },
-            backend: backend_name,
-            cycles: opts.cycles,
-            format: opts.format,
-            timeout_ms,
-            out_dir,
-            inline_output: false,
-        };
         let service = CompileService::new();
         let summary = service.run_batch(
             &reqs,
@@ -1063,68 +820,36 @@ fn main() {
         );
         // `--format` doubles as the summary format; `--time`/`--stats`
         // add the per-job stage table instead of interleaving stderr.
-        match opts.format {
+        match defaults.format {
             ReportFormat::Json => println!("{}", summary.render_json()),
             ReportFormat::Text => println!("{}", summary.render_text(time || stats)),
         }
         exit(i32::from(!summary.all_ok()));
     }
-    if jobs.is_some() || fail_fast || timeout_ms.is_some() || out_dir.is_some() {
-        usage_error(
-            &frontends,
-            &backends,
+    if jobs.is_some() || fail_fast || defaults.timeout_ms.is_some() || defaults.out_dir.is_some() {
+        args.fail(
             "`--jobs`, `--fail-fast`, `--timeout`, and `--out-dir` require `--batch` or `futil serve`",
         );
     }
     if files.len() > 1 {
-        usage_error(&frontends, &backends, "multiple inputs require `--batch`");
+        args.fail("multiple inputs require `--batch`");
     }
     let Some(file) = files.into_iter().next() else {
-        usage_error(&frontends, &backends, "no input file");
+        args.fail("no input file");
     };
-    // Unknown backends get the registry's message, which lists every valid
-    // choice.
-    let backend = match backends.get(&backend_name, &opts) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
+    let names = Names {
+        frontend: resolve_frontend_name(&frontends, defaults.frontend.as_deref(), &file),
+        fopts: &defaults.fopts,
+        pipeline: defaults.pipeline.as_deref(),
+        backend: &defaults.backend,
+        backend_opts: BackendOpts {
+            cycles: defaults.cycles,
+            format: defaults.format,
+        },
     };
-    let resolved_frontend = resolve_frontend_name(&frontends, frontend_name.as_deref(), &file);
-    // Unknown frontends and bad `--fopt` keys/values are usage errors:
-    // the registry message lists the valid frontends, and `from_opts`
-    // names the frontend plus its valid keys.
-    let frontend = match frontends.get(resolved_frontend, &fopts) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
-    };
-    // No explicit pipeline: run what the backend declares it needs
-    // (`lower` for backends that accept any program, like `calyx`).
-    if pipeline.is_empty() {
-        let required = backend.required_pipeline();
-        if required.is_empty() {
-            pipeline.push("lower".to_string());
-        } else {
-            pipeline.extend(required.iter().map(|s| s.to_string()));
-        }
-    }
-    let names: Vec<&str> = pipeline.iter().map(String::as_str).collect();
-    // Unknown passes/aliases get the registry's message, which lists every
-    // valid pass and alias.
-    let mut pm = match PassManager::from_names(&names) {
-        Ok(pm) => pm,
-        Err(e) => {
-            eprintln!("futil: {e}");
-            exit(2);
-        }
-    };
-
+    let mut compiler = resolve(&frontends, &backends, &names);
     let src = read_input(&file);
-    let mut ctx = parse_input(frontend.as_ref(), &file, &src);
+    let mut ctx = parse_input(&compiler, &file, &src);
 
     // `--check`: run every lint before compiling. Diagnostics go to
     // stderr (stdout belongs to the backend), and the run stops on
@@ -1136,12 +861,12 @@ fn main() {
             eprintln!("{rendered}");
         }
         if sink.errors() > 0 || (deny_warnings && !sink.is_empty()) {
-            eprintln!("futil: `--check` found fatal diagnostics; not compiling");
-            exit(1);
+            die(1, "`--check` found fatal diagnostics; not compiling");
         }
     }
 
-    let result = pm.run(&mut ctx);
+    let result = compiler.run_passes(&mut ctx);
+    let pm = compiler.passes();
     if time {
         // Timings include every pass that ran — also on failing pipelines.
         eprintln!("pass timings:");
@@ -1170,23 +895,34 @@ fn main() {
         );
     }
     if let Err(e) = result {
-        eprintln!("futil: {e}");
-        exit(1);
+        die(1, e);
     }
 
-    // The backend's precondition gate: an explicit pipeline that leaves
-    // the program in the wrong shape fails here, cleanly, before any
-    // output exists.
-    if let Err(e) = backend.validate(&ctx) {
-        eprintln!(
-            "futil: backend `{}` precondition failed: {e}",
-            backend.name()
-        );
+    // Stream emission to the selected sink — with `-o`, atomically, so
+    // a failed emission never truncates or corrupts an existing output
+    // file. The backend's precondition gate runs first: an explicit
+    // pipeline that leaves the program in the wrong shape fails cleanly,
+    // before any output exists.
+    let emitted = match &out_path {
+        Some(path) => calyx_service::write_atomic_with(path, |out| compiler.emit(&ctx, out)),
+        None => {
+            let stdout = std::io::stdout();
+            let mut sink = stdout.lock();
+            compiler
+                .emit(&ctx, &mut sink)
+                .and_then(|()| Ok(sink.flush()?))
+        }
+    };
+    if let Err(e) = emitted {
+        eprintln!("futil: {e}");
+        let backend = compiler.backend();
         let required = backend.required_pipeline();
         // Suggest the backend's pipeline only when it wasn't already run
         // — validate failures are not always pipeline-shaped.
-        let already_ran = required.iter().all(|r| pipeline.iter().any(|p| p == r));
-        if !required.is_empty() && !already_ran {
+        let already_ran = required
+            .iter()
+            .all(|r| compiler.pipeline().iter().any(|p| p == r));
+        if matches!(e, InputError::Precondition { .. }) && !required.is_empty() && !already_ran {
             eprintln!(
                 "futil: note: `{}` requires the pipeline `-p {}`",
                 backend.name(),
@@ -1196,46 +932,10 @@ fn main() {
         exit(1);
     }
 
-    // Stream emission to the selected sink. With `-o`, stream to a
-    // sibling temp file and rename into place on success, so a failed
-    // emission never truncates or corrupts an existing output file.
-    let emit_result = match &out_path {
-        Some(path) => {
-            let tmp = format!("{path}.tmp");
-            let file = match std::fs::File::create(&tmp) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("futil: cannot write `{tmp}`: {e}");
-                    exit(1);
-                }
-            };
-            let mut sink = std::io::BufWriter::new(file);
-            let result = backend
-                .emit(&ctx, &mut sink)
-                .and_then(|()| sink.flush().map_err(Into::into))
-                .and_then(|()| std::fs::rename(&tmp, path).map_err(Into::into));
-            if result.is_err() {
-                let _ = std::fs::remove_file(&tmp);
-            }
-            result
-        }
-        None => {
-            let stdout = std::io::stdout();
-            let mut sink = stdout.lock();
-            backend
-                .emit(&ctx, &mut sink)
-                .and_then(|()| sink.flush().map_err(Into::into))
-        }
-    };
-    if let Err(e) = emit_result {
-        eprintln!("futil: {e}");
-        exit(1);
-    }
-
     // Simulation backends measure their cycle loop; report it next to
     // the pass timings (same stderr channel, same flags).
     if time || stats {
-        if let Some(t) = backend.throughput() {
+        if let Some(t) = compiler.backend().throughput() {
             eprintln!(
                 "simulation: {} cycles in {:.3?} ({} cycles/sec)",
                 t.cycles,

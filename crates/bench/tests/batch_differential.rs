@@ -1,7 +1,7 @@
 //! Determinism differential: `futil --batch` must emit **byte-identical**
 //! output to single-shot `futil` for every PolyBench kernel — including
-//! on the parse-cache hit path, where a batch job replays the cached
-//! canonical text instead of re-running the generator.
+//! on the parse-cache hit path, where a batch job clones the cached
+//! parsed program instead of re-running the generator.
 //!
 //! The suite drives the real binary both ways: once per kernel in
 //! single-shot mode (`-o`), and once as one manifest batch with every
@@ -61,7 +61,7 @@ fn batch_is_byte_identical_to_single_shot_for_all_polybench_kernels() {
     }
 
     // One batch, every kernel twice: the first copy misses the cache
-    // (runs the generator), the second hits it (replays canonical text).
+    // (runs the generator), the second hits it (clones the parsed program).
     let mut manifest = String::new();
     for k in KERNELS {
         for out_dir in [&fresh, &cached] {

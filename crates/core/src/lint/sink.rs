@@ -1,6 +1,7 @@
 //! The accumulating diagnostic collector.
 
 use super::diagnostic::{Diagnostic, Severity};
+use crate::utils::json_string;
 
 /// Collects [`Diagnostic`]s instead of failing fast, so one checking run
 /// reports *every* problem in the program.
@@ -153,25 +154,6 @@ impl DiagnosticSink {
         out.push_str("]\n}");
         out
     }
-}
-
-/// Minimal JSON string encoder (the only non-scalar values we emit).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -18,3 +18,35 @@ pub fn is_kebab_case(name: &str) -> bool {
             .chars()
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
 }
+
+/// Encode `s` as a JSON string literal, quotes included — the one
+/// escaper behind every JSON document the toolchain writes (lint
+/// reports, service responses, batch summaries).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_string_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(json_string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    }
+}

@@ -18,7 +18,7 @@
 //!   skipped. Unknown (third-party) aliases get a cost above the
 //!   standard four so they never silently hijack a default route.
 //! - Every **backend** except the `calyx` printer contributes an
-//!   `emit-<name>` op from `calyx`, running the backend's declared
+//!   `emit-<name>` op from `calyx`, running the backend's default
 //!   pipeline in-op before emitting (`verilog` runs `lower`, `interp`
 //!   runs `none` = well-formedness). Emission deliberately does *not*
 //!   read the `calyx-lowered` state: lowered guard expressions flatten
@@ -29,13 +29,27 @@
 //!   pre-pass canonical text has that pinned roundtrip property. The
 //!   target state is `verilog` for the SystemVerilog backend and
 //!   `<name>-report` otherwise, with the artifact extension taken from
-//!   [`Backend::EXTENSION`] via the registry. The fingerprint folds in
-//!   the *expanded* pipeline, so editing an alias invalidates the
-//!   emissions that ran it.
+//!   [`Backend::EXTENSION`](calyx_backend::Backend::EXTENSION) via the
+//!   registry. The fingerprint folds in the *expanded* pipeline, so
+//!   editing an alias invalidates the emissions that ran it.
 //! - The **lint registry** contributes one hand-registered composite
 //!   op, `check`, from `calyx` to `lint-report` — the `futil check`
 //!   report as a cacheable artifact, fingerprinted on the registered
 //!   lint codes.
+//!
+//! Every op but `check` is one run of the [compile
+//! core](calyx_service::compile), the same one `futil` and the batch
+//! service drive, over the [`ExecEnv`]'s registries:
+//!
+//! | op | frontend | pipeline | backend |
+//! |---|---|---|---|
+//! | `<f>-to-calyx` | `f` | none | `calyx` |
+//! | pipeline alias | `calyx` | the alias's expansion | `calyx` |
+//! | `emit-<b>` | `calyx` | `b`'s default | `b` |
+//!
+//! The `calyx` backend prints the same bytes as `Printer::print_context`
+//! and the `calyx` frontend parses the same program as `parse_context`,
+//! so every intermediate artifact is canonical Calyx text.
 //!
 //! Third parties extend the graph the same two ways they extend the
 //! underlying registries: register into those registries and call
@@ -43,14 +57,14 @@
 //! [`PlanGraph::add_state`]/[`PlanGraph::add_op`].
 
 use crate::graph::PlanGraph;
-use crate::op::{OpSpec, OptUse};
+use crate::op::{ExecEnv, OpSpec, OptUse};
 use calyx_backend::{BackendOpts, BackendRegistry};
 use calyx_core::analysis::AnalysisCache;
-use calyx_core::errors::Error;
-use calyx_core::ir::{parse_context, Printer};
+use calyx_core::errors::{CalyxResult, Error};
 use calyx_core::lint::LintRegistry;
 use calyx_core::passes::PassRegistry;
 use calyx_frontend::{FrontendOpts, FrontendRegistry};
+use calyx_service::compile::{default_pipeline, Compiler, Names};
 
 /// The pass that marks an expansion as "lowering": after it the program
 /// is structural (no groups, no control), i.e. in the `calyx-lowered`
@@ -71,6 +85,15 @@ fn alias_cost(name: &str) -> u32 {
     }
 }
 
+/// Run one compile through the core over `env`'s registries, returning
+/// the backend's output as text.
+fn compile_text(env: &ExecEnv, names: &Names, src: &str) -> CalyxResult<String> {
+    let mut out = Vec::new();
+    Compiler::resolve(&env.frontends, &env.passes, &env.backends, names)?.compile(src, &mut out)?;
+    String::from_utf8(out)
+        .map_err(|_| Error::malformed(format!("backend `{}` emitted non-UTF-8", names.backend)))
+}
+
 /// The standard build graph, derived from the default registries.
 pub fn standard() -> PlanGraph {
     from_registries(
@@ -83,7 +106,7 @@ pub fn standard() -> PlanGraph {
 
 /// Derive a build graph from (possibly extended) registries. See the
 /// [module docs](self) for the derivation rules. Hand the *same*
-/// registries to [`ExecEnv`](crate::ExecEnv) so execution resolves the
+/// registries to [`ExecEnv`] so execution resolves the
 /// same entries the derivation advertised.
 pub fn from_registries(
     frontends: &FrontendRegistry,
@@ -110,7 +133,7 @@ pub fn from_registries(
     );
 
     // Frontend ops: `<name>-to-calyx`, producing canonical text so every
-    // downstream cache key sees the same bytes the parse cache pins.
+    // downstream cache key sees the same bytes for the same program.
     for f in frontends.frontends() {
         if f.name == "calyx" {
             continue;
@@ -130,12 +153,14 @@ pub fn from_registries(
                 ..OptUse::default()
             },
             run: Box::new(move |src, env, opts| {
-                let mut fopts = FrontendOpts::new();
-                for (k, v) in &opts.fopts {
-                    fopts.set(k.clone(), v.clone());
-                }
-                let ctx = env.frontends.get(&name, &fopts)?.parse(src)?;
-                Ok(Printer::print_context(&ctx))
+                let names = Names {
+                    frontend: &name,
+                    fopts: &opts.fopts,
+                    pipeline: Some(&[]),
+                    backend: "calyx",
+                    ..Names::default()
+                };
+                compile_text(env, &names, src)
             }),
         });
     }
@@ -147,40 +172,38 @@ pub fn from_registries(
         if !expansion.contains(&LOWERING_MARK) {
             continue;
         }
-        let names: Vec<String> = expansion.iter().map(|p| (*p).to_string()).collect();
+        let pipeline: Vec<String> = expansion.iter().map(|p| (*p).to_string()).collect();
         g.add_op(OpSpec {
             name: alias.to_string(),
-            description: format!("run the `{alias}` pass pipeline ({} passes)", names.len()),
+            description: format!(
+                "run the `{alias}` pass pipeline ({} passes)",
+                pipeline.len()
+            ),
             from: calyx,
             to: lowered,
             cost: alias_cost(alias),
-            fingerprint: format!("passes:{}", names.join(",")),
+            fingerprint: format!("passes:{}", pipeline.join(",")),
             uses: OptUse::default(),
             run: Box::new(move |src, env, _| {
-                let mut ctx = parse_context(src)?;
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                env.passes.build(&refs)?.run(&mut ctx)?;
-                Ok(Printer::print_context(&ctx))
+                let names = Names {
+                    frontend: "calyx",
+                    pipeline: Some(&pipeline),
+                    backend: "calyx",
+                    ..Names::default()
+                };
+                compile_text(env, &names, src)
             }),
         });
     }
 
     // Backend ops: `emit-<name>`, from canonical `calyx`, running the
-    // backend's declared pipeline in-op (see the module docs for why
-    // emission does not read `calyx-lowered`). An empty declaration
-    // defaults to `lower`, mirroring the direct driver.
+    // backend's default pipeline in-op (see the module docs for why
+    // emission does not read `calyx-lowered`).
     for b in backends.backends() {
         if b.name == "calyx" {
             continue;
         }
-        let run_pre: Vec<String> = if b.required_pipeline.is_empty() {
-            vec!["lower".to_string()]
-        } else {
-            b.required_pipeline
-                .iter()
-                .map(|p| (*p).to_string())
-                .collect()
-        };
+        let run_pre = default_pipeline(b.required_pipeline);
         let pre_refs: Vec<&str> = run_pre.iter().map(String::as_str).collect();
         // Fingerprint on the expansion, so alias edits invalidate; fall
         // back to the raw names when the alias is not in `passes`.
@@ -219,22 +242,16 @@ pub fn from_registries(
                 ..OptUse::default()
             },
             run: Box::new(move |src, env, opts| {
-                let mut ctx = parse_context(src)?;
-                if !run_pre.is_empty() {
-                    let refs: Vec<&str> = run_pre.iter().map(String::as_str).collect();
-                    env.passes.build(&refs)?.run(&mut ctx)?;
-                }
-                let backend = env.backends.get(
-                    &name,
-                    &BackendOpts {
+                let names = Names {
+                    frontend: "calyx",
+                    backend: &name,
+                    backend_opts: BackendOpts {
                         cycles: opts.cycles,
                         format: opts.format,
                     },
-                )?;
-                let mut out = Vec::new();
-                backend.emit(&ctx, &mut out)?;
-                String::from_utf8(out)
-                    .map_err(|_| Error::malformed(format!("backend `{name}` emitted non-UTF-8")))
+                    ..Names::default()
+                };
+                compile_text(env, &names, src)
             }),
         });
     }
@@ -261,7 +278,10 @@ pub fn from_registries(
             ..OptUse::default()
         },
         run: Box::new(|src, env, opts| {
-            let ctx = parse_context(src)?;
+            let ctx = env
+                .frontends
+                .get("calyx", &FrontendOpts::new())?
+                .parse(src)?;
             let sink = env.lints.check_all(&ctx, &mut AnalysisCache::new());
             Ok(match opts.format {
                 calyx_backend::ReportFormat::Text => sink.render_text("<plan>", src),

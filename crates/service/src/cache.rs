@@ -4,21 +4,25 @@
 //! — the same generated kernel compiled to several backends, the same
 //! file re-requested across serve connections. The cache keys each parse
 //! by `(frontend fingerprint, content digest)` and stores the parsed
-//! program's **canonical Calyx text** (via
-//! [`Printer::print_context`](calyx_core::ir::Printer::print_context)).
+//! program itself: `Context` is `Send + Sync`, so one parse is shared by
+//! every worker, and a hit costs one `Context::clone` instead of a
+//! frontend run.
 //!
-//! Why text and not the IR itself: the compile-time IR is `Rc`-based and
-//! cannot cross worker threads. Canonical text can, and re-ingesting it
-//! through the native parser skips the expensive half of a repeated job
-//! — generator frontends (polybench, systolic, dahlia) spend most of
-//! their parse stage *producing* Calyx, which a hit replays in one cheap
-//! `parse_context`. Hit-path determinism (canonical text re-parses to a
-//! byte-identical program) is pinned by the batch differential suite.
+//! Lookups are single-flight: each key owns a slot, the first caller
+//! parses while holding it, and identical jobs arriving meanwhile wait
+//! for that result instead of parsing again.
 
+use calyx_core::ir::Context;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+// The cache shares parsed programs across worker threads.
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<Context>();
+};
 
 /// FNV-1a 64-bit digest of `bytes` — the cache's content key. Stable
 /// across runs and platforms (no randomized hasher), cheap, and
@@ -45,11 +49,14 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
+/// One key's entry: empty until a parse of that key succeeds.
+type Slot = Arc<Mutex<Option<Arc<Context>>>>;
+
 /// A thread-safe map from `(frontend fingerprint, source digest)` to the
-/// canonical text of the parsed program.
+/// parsed program.
 #[derive(Debug, Default)]
 pub struct ParseCache {
-    map: Mutex<HashMap<(String, u64), Arc<str>>>,
+    map: Mutex<HashMap<(String, u64), Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -86,26 +93,41 @@ impl ParseCache {
         fp
     }
 
-    /// The cached canonical text for `(fingerprint, digest)`, counting
-    /// the lookup as a hit or miss.
-    pub fn lookup(&self, fingerprint: &str, digest: u64) -> Option<Arc<str>> {
-        let found = self
-            .map
-            .lock()
-            .get(&(fingerprint.to_string(), digest))
-            .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Store the canonical text for `(fingerprint, digest)`.
-    pub fn insert(&self, fingerprint: String, digest: u64, canonical: String) {
-        self.map
-            .lock()
-            .insert((fingerprint, digest), Arc::from(canonical));
+    /// The program parsed for `(fingerprint, digest)`, running `parse`
+    /// on a miss. The second component is `true` for a hit.
+    ///
+    /// A caller that finds another parse of the same key in flight waits
+    /// for it and counts as a hit. A failed parse caches nothing, so the
+    /// next identical lookup is a miss that parses again.
+    ///
+    /// # Errors
+    ///
+    /// Returns `parse`'s error.
+    pub fn get_or_parse<E>(
+        &self,
+        fingerprint: &str,
+        digest: u64,
+        parse: impl FnOnce() -> Result<Context, E>,
+    ) -> Result<(Context, bool), E> {
+        let slot = Arc::clone(
+            self.map
+                .lock()
+                .entry((fingerprint.to_string(), digest))
+                .or_default(),
+        );
+        let mut entry = slot.lock();
+        if let Some(parsed) = entry.clone() {
+            drop(entry);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((Context::clone(&parsed), true));
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        // The slot is written only after a successful parse, so a parse
+        // that fails — or panics, poisoning the lock — leaves it empty.
+        let parsed = Arc::new(parse()?);
+        *entry = Some(Arc::clone(&parsed));
+        drop(entry);
+        Ok((Context::clone(&parsed), false))
     }
 
     /// Hit/miss counters so far.
@@ -114,16 +136,6 @@ impl ParseCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.map.lock().len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -172,16 +184,38 @@ mod tests {
     }
 
     #[test]
-    fn lookup_counts_hits_and_misses() {
+    fn get_or_parse_counts_hits_and_misses() {
         let cache = ParseCache::new();
         let fp = ParseCache::fingerprint("calyx", &[]);
-        let d = digest64(b"component main() -> () {}");
-        assert!(cache.lookup(&fp, d).is_none());
-        cache.insert(fp.clone(), d, "canonical".to_string());
-        assert_eq!(cache.lookup(&fp, d).as_deref(), Some("canonical"));
+        let src = "component main() -> () { cells {} wires {} control {} }";
+        let d = digest64(src.as_bytes());
+        let parse = || calyx_core::ir::parse_context(src);
+        let (first, hit) = cache.get_or_parse(&fp, d, parse).unwrap();
+        assert!(!hit);
+        let (again, hit) = cache
+            .get_or_parse(&fp, d, || -> Result<Context, ()> {
+                unreachable!("a hit never parses")
+            })
+            .unwrap();
+        assert!(hit);
+        assert_eq!(
+            calyx_core::ir::Printer::print_context(&again),
+            calyx_core::ir::Printer::print_context(&first)
+        );
         // Same digest under another fingerprint is a separate entry.
-        assert!(cache.lookup("other", d).is_none());
+        assert!(!cache.get_or_parse("other", d, parse).unwrap().1);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
-        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn failed_parses_are_not_cached() {
+        let cache = ParseCache::new();
+        for _ in 0..2 {
+            let err = cache
+                .get_or_parse("calyx", 7, || Err("bad input"))
+                .unwrap_err();
+            assert_eq!(err, "bad input");
+        }
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
     }
 }

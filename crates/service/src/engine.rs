@@ -2,24 +2,27 @@
 //! [`JobRequest`]s over the frontend/pass/backend registries.
 //!
 //! A service is a cheaply-clonable handle (`Arc` inside) shared by every
-//! worker thread. Each job runs the same stages as a single-shot `futil`
-//! invocation — resolve backend and frontend, ingest the source (through
-//! the shared [`ParseCache`]), run the pass pipeline, validate, emit —
-//! and terminates in a [`JobResponse`] instead of a process exit, with
-//! per-stage wall times attached. Jobs are bulkheaded: a panicking pass
-//! or generator becomes a [`Status::Panic`] response, and a job that
-//! overruns its `timeout_ms` budget is abandoned ([`Status::Timeout`])
-//! without taking its worker down.
+//! worker thread. Each job is one run of the [compile core](crate::compile)
+//! — the same [`Compiler`] single-shot `futil` and the plan ops drive —
+//! wrapped in what only a service needs: request fields falling back to
+//! [`JobDefaults`], the shared [`ParseCache`] around the core's parse
+//! phase, and the job's output path. A job terminates in a
+//! [`JobResponse`] instead of a process exit, with per-stage wall times
+//! attached. Jobs are bulkheaded: a panicking pass or generator becomes a
+//! [`Status::Panic`] response, and a job that overruns its `timeout_ms`
+//! budget is abandoned ([`Status::Timeout`]) without taking its worker
+//! down.
 
 use crate::cache::{digest64, CacheStats, ParseCache};
+use crate::compile::{Compiler, Names};
 use crate::metrics::{BatchSummary, StageTimes};
 use crate::pool::{catch_job_panic, WorkerPool};
 use crate::protocol::{JobRequest, JobResponse, Status, LIST_KINDS};
-use calyx_backend::{BackendOpts, BackendRegistry, DynBackend, ReportFormat};
-use calyx_core::ir::{parse_context, Context, Printer};
+use calyx_backend::{BackendOpts, BackendRegistry, ReportFormat};
 use calyx_core::lint::LintRegistry;
-use calyx_core::passes::{PassManager, PassRegistry};
-use calyx_frontend::{FrontendOpts, FrontendRegistry};
+use calyx_core::passes::PassRegistry;
+use calyx_frontend::FrontendRegistry;
+use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -36,8 +39,8 @@ pub struct JobDefaults {
     /// Base generator options; a job's own `fopts` append to (and thus
     /// override) these.
     pub fopts: Vec<(String, String)>,
-    /// Pipeline for jobs that name none (else the backend's required
-    /// pipeline, else `lower`).
+    /// Pipeline for jobs that name none (else the backend's
+    /// [default](crate::compile::default_pipeline)).
     pub pipeline: Option<Vec<String>>,
     /// Backend for jobs that name none.
     pub backend: String,
@@ -73,6 +76,7 @@ impl Default for JobDefaults {
 
 struct ServiceInner {
     frontends: FrontendRegistry,
+    passes: PassRegistry,
     backends: BackendRegistry,
     cache: ParseCache,
 }
@@ -103,23 +107,43 @@ fn job_name(req: &JobRequest, id: usize) -> String {
         .map_or_else(|| format!("job{id}"), str::to_string)
 }
 
-/// Write `bytes` to `path` atomically: stream to a sibling `.tmp` and
-/// rename into place, so a failure never leaves partial output (the same
-/// discipline as `futil -o`). Shared with the plan executor's artifact
-/// cache, which needs the same no-partial-files guarantee.
+/// Write `bytes` to `path` atomically (see [`write_atomic_with`]).
+/// Shared with the plan executor's artifact cache, which needs the same
+/// no-partial-files guarantee.
 ///
 /// # Errors
 ///
-/// Returns the underlying I/O error; the `.tmp` sibling is removed on
-/// failure.
+/// Returns the underlying I/O error.
 pub fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    write_atomic_with(path, |out| out.write_all(bytes))
+}
+
+/// Stream `write`'s output to a sibling `.tmp` of `path` and rename it
+/// into place, so a failure never leaves partial output and never
+/// touches an existing file at `path`. Missing parent directories are
+/// created.
+///
+/// # Errors
+///
+/// Returns `write`'s error or the underlying I/O error; the `.tmp`
+/// sibling is removed on failure.
+pub fn write_atomic_with<E: From<std::io::Error>>(
+    path: &str,
+    write: impl FnOnce(&mut dyn Write) -> Result<(), E>,
+) -> Result<(), E> {
     if let Some(parent) = Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
     let tmp = format!("{path}.tmp");
-    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    let result = (|| {
+        let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        write(&mut out)?;
+        out.flush()?;
+        drop(out);
+        Ok(std::fs::rename(&tmp, path)?)
+    })();
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
@@ -138,6 +162,7 @@ impl CompileService {
         CompileService {
             inner: Arc::new(ServiceInner {
                 frontends,
+                passes: PassRegistry::default(),
                 backends,
                 cache: ParseCache::new(),
             }),
@@ -172,7 +197,7 @@ impl CompileService {
                 .map(|b| (b.name.to_string(), b.description.to_string()))
                 .collect()),
             "passes" => {
-                let registry = PassRegistry::default();
+                let registry = &self.inner.passes;
                 let mut items: Vec<(String, String)> = registry
                     .passes()
                     .iter()
@@ -254,8 +279,9 @@ impl CompileService {
         })
     }
 
-    /// One compile job, start to finish. Any structured failure becomes
-    /// a [`Status::Error`] response naming the stage that rejected it.
+    /// One compile job, start to finish: the compile core plus request
+    /// defaults, the parse cache, and the output path. Any structured
+    /// failure becomes a [`Status::Error`] response.
     fn run_job(
         &self,
         id: usize,
@@ -266,44 +292,38 @@ impl CompileService {
         let started = Instant::now();
         let name = job_name(req, id);
         let fail = |msg: String| JobResponse::fail(id, name.clone(), Status::Error, msg);
+        let inner = &*self.inner;
 
-        // Backend first: its required pipeline is the pipeline default.
-        let bopts = BackendOpts {
-            cycles: req.cycles.unwrap_or(defaults.cycles),
-            format: match req.format.as_deref() {
-                Some("json") => ReportFormat::Json,
-                Some(_) => ReportFormat::Text,
-                None => defaults.format,
-            },
-        };
-        let backend_name = req.backend.as_deref().unwrap_or(&defaults.backend);
-        let backend: Box<dyn DynBackend> = match self.inner.backends.get(backend_name, &bopts) {
-            Ok(b) => b,
-            Err(e) => return fail(e.to_string()),
-        };
-
-        // Frontend: explicit (job, then defaults), else inferred from
-        // the input's extension, else the native parser — the same
-        // shared rule as the driver and the plan graph.
-        let frontend_name = self
-            .inner
+        // Unset request fields fall back to the invocation's defaults;
+        // the frontend is otherwise inferred from the input's extension.
+        let frontend = inner
             .frontends
             .resolve_name(
                 req.frontend.as_deref().or(defaults.frontend.as_deref()),
                 req.input.as_deref(),
             )
-            .0
-            .to_string();
-        let mut pairs = defaults.fopts.clone();
-        pairs.extend(req.fopts.iter().cloned());
-        let mut fopts = FrontendOpts::default();
-        for (k, v) in &pairs {
-            fopts.set(k.clone(), v.clone());
-        }
-        let frontend = match self.inner.frontends.get(&frontend_name, &fopts) {
-            Ok(f) => f,
-            Err(e) => return fail(e.to_string()),
+            .0;
+        let mut fopts = defaults.fopts.clone();
+        fopts.extend(req.fopts.iter().cloned());
+        let names = Names {
+            frontend,
+            fopts: &fopts,
+            pipeline: req.pipeline.as_deref().or(defaults.pipeline.as_deref()),
+            backend: req.backend.as_deref().unwrap_or(&defaults.backend),
+            backend_opts: BackendOpts {
+                cycles: req.cycles.unwrap_or(defaults.cycles),
+                format: match req.format.as_deref() {
+                    Some("json") => ReportFormat::Json,
+                    Some(_) => ReportFormat::Text,
+                    None => defaults.format,
+                },
+            },
         };
+        let mut compiler =
+            match Compiler::resolve(&inner.frontends, &inner.passes, &inner.backends, &names) {
+                Ok(c) => c,
+                Err(e) => return fail(e.to_string()),
+            };
 
         // Source: a file, inline text, or empty (pure generators).
         let src = match (&req.input, &req.source) {
@@ -315,85 +335,43 @@ impl CompileService {
             (None, None) => String::new(),
         };
 
-        // Parse, through the shared cache. A hit replays the previously
-        // parsed program's canonical text through the (cheap) native
-        // parser; a miss runs the real frontend and caches the result.
+        // Parse through the shared cache: identical jobs share one
+        // frontend run.
         let parse_started = Instant::now();
-        let fingerprint = ParseCache::fingerprint(&frontend_name, &pairs);
+        let fingerprint = ParseCache::fingerprint(frontend, &fopts);
         let digest = digest64(src.as_bytes());
-        let (mut ctx, cache_state): (Context, &'static str) =
-            match self.inner.cache.lookup(&fingerprint, digest) {
-                Some(canonical) => match parse_context(&canonical) {
-                    Ok(ctx) => (ctx, "hit"),
-                    Err(e) => return fail(format!("parse cache replay failed: {e}")),
-                },
-                None => {
-                    let shown = req.input.as_deref().unwrap_or("<request>");
-                    let ctx = match frontend.parse(&src) {
-                        Ok(ctx) => ctx,
-                        Err(e) => {
-                            // Same caret diagnostics as single-shot futil,
-                            // folded into the response's error string.
-                            return fail(match e.caret_diagnostic(shown, &src) {
-                                Some(diagnostic) => diagnostic,
-                                None => format!("frontend `{frontend_name}`: {e}"),
-                            });
-                        }
-                    };
-                    self.inner
-                        .cache
-                        .insert(fingerprint, digest, Printer::print_context(&ctx));
-                    (ctx, "miss")
-                }
-            };
-        let parse_time = parse_started.elapsed();
-
-        // Pipeline: the job's, else the invocation's, else what the
-        // backend declares it needs (`lower` for shape-agnostic ones).
-        let pipeline: Vec<String> = match req.pipeline.as_ref().or(defaults.pipeline.as_ref()) {
-            Some(p) => p.clone(),
-            None => {
-                let required = backend.required_pipeline();
-                if required.is_empty() {
-                    vec!["lower".to_string()]
-                } else {
-                    required.iter().map(|s| (*s).to_string()).collect()
-                }
+        let (mut ctx, hit) = match inner
+            .cache
+            .get_or_parse(&fingerprint, digest, || compiler.parse(&src))
+        {
+            Ok(parsed) => parsed,
+            // Same caret diagnostics as single-shot futil, folded into
+            // the response's error string.
+            Err(e) => {
+                let shown = req.input.as_deref().unwrap_or("<request>");
+                return fail(
+                    e.caret_diagnostic(shown, &src)
+                        .unwrap_or_else(|| format!("frontend `{frontend}`: {e}")),
+                );
             }
         };
-        let names: Vec<&str> = pipeline.iter().map(String::as_str).collect();
-        let mut pm = match PassManager::from_names(&names) {
-            Ok(pm) => pm,
+        let parse = parse_started.elapsed();
+
+        // Emit into memory: batch outputs are per-job files (or inline
+        // responses), never interleaved stdout.
+        let mut buffer = Vec::new();
+        let stages = match compiler.finish(&mut ctx, &mut buffer) {
+            Ok(stages) => stages,
             Err(e) => return fail(e.to_string()),
         };
-        let passes_started = Instant::now();
-        if let Err(e) = pm.run(&mut ctx) {
-            return fail(e.to_string());
-        }
-        let passes_time = passes_started.elapsed();
-
-        // Validate, then emit into memory: batch outputs are per-job
-        // files (or inline responses), never interleaved stdout.
-        let emit_started = Instant::now();
-        if let Err(e) = backend.validate(&ctx) {
-            return fail(format!(
-                "backend `{}` precondition failed: {e}",
-                backend.name()
-            ));
-        }
-        let mut buffer = Vec::new();
-        if let Err(e) = backend.emit(&ctx, &mut buffer) {
-            return fail(e.to_string());
-        }
-        let emit_time = emit_started.elapsed();
 
         let mut resp = JobResponse::new(id, name.clone(), Status::Ok);
-        resp.cache = Some(cache_state);
+        resp.cache = Some(if hit { "hit" } else { "miss" });
         let out_path = req.out.clone().or_else(|| {
             defaults
                 .out_dir
                 .as_ref()
-                .map(|dir| format!("{dir}/{name}.{}", backend.extension()))
+                .map(|dir| format!("{dir}/{name}.{}", compiler.backend().extension()))
         });
         match out_path {
             // A timed-out job may still be running here, abandoned; it
@@ -411,10 +389,9 @@ impl CompileService {
             None => {}
         }
         resp.stages = Some(StageTimes {
-            parse: parse_time,
-            passes: passes_time,
-            emit: emit_time,
+            parse,
             total: started.elapsed(),
+            ..stages
         });
         resp
     }
@@ -629,10 +606,72 @@ mod tests {
             Ok(StallFrontend)
         }
 
-        fn parse(&self, _: &str) -> calyx_core::errors::CalyxResult<Context> {
+        fn parse(&self, _: &str) -> calyx_core::errors::CalyxResult<calyx_core::ir::Context> {
             std::thread::sleep(std::time::Duration::from_secs(5));
             calyx_core::ir::parse_context("component main() -> () { cells {} wires {} control {} }")
         }
+    }
+
+    /// Frontend runs of [`CountingFrontend`], across the whole test binary.
+    static COUNTED_PARSES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    /// A native parser that counts its runs and dawdles, so identical
+    /// jobs on other workers arrive while its parse is in flight. With
+    /// single-flight lookups the counts below hold for any interleaving.
+    struct CountingFrontend;
+
+    impl calyx_frontend::Frontend for CountingFrontend {
+        const NAME: &'static str = "counting";
+        const DESCRIPTION: &'static str = "counts and delays its parses (test only)";
+
+        fn extensions() -> &'static [&'static str] {
+            &[]
+        }
+
+        fn from_opts(_: &calyx_frontend::FrontendOpts) -> calyx_core::errors::CalyxResult<Self> {
+            Ok(CountingFrontend)
+        }
+
+        fn parse(&self, src: &str) -> calyx_core::errors::CalyxResult<calyx_core::ir::Context> {
+            COUNTED_PARSES.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(50));
+            calyx_core::ir::parse_context(src)
+        }
+    }
+
+    #[test]
+    fn identical_jobs_in_flight_share_one_parse() {
+        let mut frontends = calyx_frontend::FrontendRegistry::default();
+        frontends.register::<CountingFrontend>();
+        let service = CompileService::with_registries(frontends, BackendRegistry::default());
+        let defaults = JobDefaults {
+            frontend: Some("counting".to_string()),
+            ..JobDefaults::default()
+        };
+        let n = 6;
+        let reqs: Vec<JobRequest> = (0..n).map(|_| source_job("calyx")).collect();
+        let summary = service.run_batch(&reqs, 3, false, &defaults);
+        assert!(summary.all_ok(), "{}", summary.render_text(false));
+        assert_eq!(COUNTED_PARSES.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            summary.cache,
+            CacheStats {
+                hits: n - 1,
+                misses: 1
+            }
+        );
+
+        // A failed parse is not cached: every identical job parses
+        // again, misses, and reports the same error.
+        let mut bad = source_job("calyx");
+        bad.source = Some("component main( {".to_string());
+        let summary = service.run_batch(&vec![bad; 4], 2, false, &defaults);
+        assert_eq!(summary.failed(), 4);
+        assert_eq!(COUNTED_PARSES.load(Ordering::SeqCst), 5);
+        assert_eq!(summary.cache, CacheStats { hits: 0, misses: 4 });
+        let first = summary.results[0].error.clone();
+        assert!(first.as_deref().unwrap().contains('^'), "{first:?}");
+        assert!(summary.results.iter().all(|r| r.error == first));
     }
 
     #[test]

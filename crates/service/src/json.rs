@@ -5,8 +5,8 @@
 //! integer scalars, one level of nesting for `fopts`/`pipeline`. This
 //! module parses a full JSON value into [`Json`] — tracking the 1-based
 //! byte column of every object key so unknown-field diagnostics can
-//! point at the offending key — and renders values back out with the
-//! same escaping rules the lint sink pinned in PR 6.
+//! point at the offending key — and renders values back out through the
+//! toolchain's one string escaper, [`calyx_core::utils::json_string`].
 
 use std::fmt;
 
@@ -149,23 +149,7 @@ impl Json {
 }
 
 /// Encode a string as a JSON string literal (quotes included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+pub use calyx_core::utils::json_string as escape;
 
 /// Parse one complete JSON value; trailing non-whitespace is an error.
 ///
@@ -465,11 +449,5 @@ mod tests {
         let v = parse(src).unwrap();
         assert_eq!(v.render(), src);
         assert_eq!(parse(&v.render()).unwrap(), v);
-    }
-
-    #[test]
-    fn escape_matches_lint_sink_rules() {
-        assert_eq!(escape("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
     }
 }

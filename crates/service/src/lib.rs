@@ -6,16 +6,18 @@
 //! compile *many* programs, most of them near-duplicates. This crate
 //! turns the compiler into a service:
 //!
-//! - [`engine::CompileService`] executes [`protocol::JobRequest`]s —
-//!   the same frontend → passes → backend stages as the driver, but
-//!   terminating in a [`protocol::JobResponse`] value instead of a
-//!   process exit, with per-stage wall times attached. Jobs are
-//!   bulkheaded: panics become [`protocol::Status::Panic`] responses and
-//!   over-budget jobs are abandoned as [`protocol::Status::Timeout`].
+//! - [`compile::Compiler`] is the compile core — resolve names, parse,
+//!   run passes, validate and emit — shared by single-shot `futil`, the
+//!   service, and the plan graph's ops.
+//! - [`engine::CompileService`] executes [`protocol::JobRequest`]s
+//!   through that core, terminating in a [`protocol::JobResponse`] value
+//!   instead of a process exit, with per-stage wall times attached. Jobs
+//!   are bulkheaded: panics become [`protocol::Status::Panic`] responses
+//!   and over-budget jobs are abandoned as [`protocol::Status::Timeout`].
 //! - [`cache::ParseCache`] shares frontend work between jobs, keyed by
 //!   `(frontend + options, source digest)` and storing the parsed
-//!   program's canonical text — which re-parses byte-identically, so
-//!   cached and uncached jobs emit the same output.
+//!   program, which worker threads share directly. Identical jobs in
+//!   flight at once wait for a single parse.
 //! - [`pool::WorkerPool`] runs jobs on N `std::thread` workers;
 //!   [`engine::CompileService::run_batch`] aggregates a whole batch into
 //!   a [`metrics::BatchSummary`] (kernels/sec, p50/p99 latency).
@@ -45,6 +47,7 @@
 //! ```
 
 pub mod cache;
+pub mod compile;
 pub mod engine;
 pub mod json;
 pub mod metrics;
@@ -53,7 +56,8 @@ pub mod protocol;
 pub mod server;
 
 pub use cache::{digest64, CacheStats, ParseCache};
-pub use engine::{write_atomic, CompileService, JobDefaults};
+pub use compile::{Compiler, InputError, Names};
+pub use engine::{write_atomic, write_atomic_with, CompileService, JobDefaults};
 pub use metrics::{percentile, BatchSummary, StageTimes};
 pub use pool::{catch_job_panic, WorkerPool};
 pub use protocol::{
